@@ -54,7 +54,7 @@ mod trace_store;
 pub use catalog::{CatalogError, ServiceCatalog, ServiceEntry};
 pub use mapper::{Mapper, MapperError, MapperStrategy};
 pub use platform::{
-    ExecutionHandle, Platform, PlatformError, ReplayReport, SpecStep, WorkflowSpec,
+    ExecutionHandle, Platform, PlatformError, ReplayReport, ResidencyPin, SpecStep, WorkflowSpec,
 };
 pub use query::{ProvQuery, QueryAnswer, QueryOpts, RankDirection, PROTOCOL_VERSION};
 pub use recorder::{merge_exchange, Recorder, RecorderError};

@@ -208,11 +208,49 @@ struct StoreState {
     store: Arc<ProvStore>,
     /// Executions kept resident before eviction kicks in (at least 1).
     max_resident: usize,
-    /// Resident execution ids, least-recently-used first.
-    lru: Mutex<Vec<String>>,
+    residency: Mutex<Residency>,
     /// Serialises cold loads, so concurrent readers of one evicted
     /// execution trigger a single disk load between them.
     loading: Mutex<()>,
+}
+
+/// Which executions are resident, and which of them eviction must skip.
+#[derive(Default)]
+struct Residency {
+    /// Resident execution ids, least-recently-used first.
+    lru: Vec<String>,
+    /// Pin count per execution with a call in flight ([`ResidencyPin`]).
+    pins: HashMap<String, usize>,
+}
+
+/// Keeps an execution resident while a call on it is in flight: eviction
+/// skips pinned executions, so a pipeline never loses its live maintainer
+/// or index state to a concurrent cold load. Pins nest; the execution is
+/// unpinned when the last guard drops. Every platform call that works on
+/// an execution's in-memory state holds one ([`Platform::ingest`],
+/// [`Platform::execute_spec`], [`Platform::replay_execution`], snapshots
+/// and graph reads); [`ExecutionHandle::pin`] holds one across a sequence
+/// of calls. Without an attached store nothing is evicted and the guard
+/// is inert.
+#[must_use = "the execution is unpinned when the guard drops"]
+pub struct ResidencyPin {
+    pinned: Option<(Arc<StoreState>, String)>,
+}
+
+impl Drop for ResidencyPin {
+    fn drop(&mut self) {
+        let Some((ss, id)) = &self.pinned else {
+            return;
+        };
+        // may run while a panic unwinds: never panic on a poisoned lock
+        let mut res = ss.residency.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(count) = res.pins.get_mut(id) {
+            *count -= 1;
+            if *count == 0 {
+                res.pins.remove(id);
+            }
+        }
+    }
 }
 
 /// Cache entry: the graph as of a number of recorded calls.
@@ -438,11 +476,12 @@ impl Platform {
     /// attached the document is persisted best-effort right away (the
     /// write-through on the next execution repeats it durably).
     pub fn ingest(&self, exec_id: &str, doc: Document) {
+        let _pin = self.pin(exec_id);
         self.repository.put(exec_id, doc);
         if let Some(ss) = self.store_state() {
             self.touch_lru(&ss, exec_id);
             let _ = self.persist_through(exec_id);
-            let _ = self.evict_excess(&ss, exec_id);
+            let _ = self.evict_excess(&ss);
         }
     }
 
@@ -457,7 +496,7 @@ impl Platform {
     /// their control-flow channels, which the Mapper's strategies respect
     /// during inference.
     pub fn execute_spec(&self, exec_id: &str, spec: &WorkflowSpec) -> Result<(), PlatformError> {
-        self.ensure_resident(exec_id)?;
+        let _pin = self.ensure_resident(exec_id)?;
         let mut doc = self
             .repository
             .get(exec_id)
@@ -550,7 +589,7 @@ impl Platform {
                 "replay target {new_id:?} already exists; pick a fresh execution id"
             )));
         }
-        self.ensure_resident(prior_id)?;
+        let _pins = (self.pin(new_id), self.ensure_resident(prior_id)?);
         let prior_doc = self
             .repository
             .get(prior_id)
@@ -614,7 +653,7 @@ impl Platform {
         if let Some(ss) = self.store_state() {
             self.touch_lru(&ss, new_id);
             self.persist_through(new_id)?;
-            self.evict_excess(&ss, new_id)?;
+            self.evict_excess(&ss)?;
         }
         Ok(ReplayReport {
             execution: new_id.to_string(),
@@ -670,14 +709,14 @@ impl Platform {
         let ss = Arc::new(StoreState {
             store: Arc::new(store),
             max_resident: max_resident.max(1),
-            lru: Mutex::new(Vec::new()),
+            residency: Mutex::new(Residency::default()),
             loading: Mutex::new(()),
         });
         for id in self.repository.execution_ids() {
             self.touch_lru(&ss, &id);
         }
         *self.store.write().expect("lock poisoned") = Some(Arc::clone(&ss));
-        self.evict_excess(&ss, "")
+        self.evict_excess(&ss)
     }
 
     /// The attached disk store, if any — what the serve daemon's
@@ -693,7 +732,8 @@ impl Platform {
     /// Mark an execution most-recently-used, adding it to the resident set
     /// if it was not tracked yet.
     fn touch_lru(&self, ss: &StoreState, exec_id: &str) {
-        let mut lru = ss.lru.lock().expect("lock poisoned");
+        let mut res = ss.residency.lock().expect("lock poisoned");
+        let lru = &mut res.lru;
         if let Some(pos) = lru.iter().position(|id| id == exec_id) {
             let id = lru.remove(pos);
             lru.push(id);
@@ -703,26 +743,40 @@ impl Platform {
         }
     }
 
+    /// Pin an execution against eviction until the guard drops.
+    fn pin(&self, exec_id: &str) -> ResidencyPin {
+        let pinned = self.store_state().map(|ss| {
+            let mut res = ss.residency.lock().expect("lock poisoned");
+            *res.pins.entry(exec_id.to_string()).or_insert(0) += 1;
+            drop(res);
+            (ss, exec_id.to_string())
+        });
+        ResidencyPin { pinned }
+    }
+
     /// Make an execution resident, cold-loading it from the attached store
-    /// if it was evicted. A no-op without a store, or when the execution is
-    /// neither resident nor stored (callers then report UnknownExecution as
-    /// before).
-    fn ensure_resident(&self, exec_id: &str) -> Result<(), PlatformError> {
+    /// if it was evicted, and keep it resident until the returned pin
+    /// drops: pinned before the residency check, it cannot be evicted
+    /// between that check and the caller's reads. Nothing to do without a
+    /// store, or when the execution is neither resident nor stored
+    /// (callers then report UnknownExecution as before).
+    fn ensure_resident(&self, exec_id: &str) -> Result<ResidencyPin, PlatformError> {
+        let pin = self.pin(exec_id);
         let Some(ss) = self.store_state() else {
-            return Ok(());
+            return Ok(pin);
         };
         if self.repository.with(exec_id, |_| ()).is_some() {
             self.touch_lru(&ss, exec_id);
-            return Ok(());
+            return Ok(pin);
         }
         let _guard = ss.loading.lock().expect("lock poisoned");
         // Double-check: a concurrent load may have won the lock first.
         if self.repository.with(exec_id, |_| ()).is_some() {
             self.touch_lru(&ss, exec_id);
-            return Ok(());
+            return Ok(pin);
         }
         let Some(stored) = ss.store.load(exec_id)? else {
-            return Ok(());
+            return Ok(pin);
         };
         // Rebuild in-memory state. The trace goes in first; the repository
         // entry is the residency signal, so it is published last.
@@ -760,7 +814,8 @@ impl Platform {
         self.repository.put(exec_id, stored.doc);
         self.touch_lru(&ss, exec_id);
         drop(_guard);
-        self.evict_excess(&ss, exec_id)
+        self.evict_excess(&ss)?;
+        Ok(pin)
     }
 
     /// Write one execution through to the attached store (document, trace
@@ -781,15 +836,20 @@ impl Platform {
     }
 
     /// Evict least-recently-used executions until at most `max_resident`
-    /// remain, never evicting `protect` (the execution being served).
-    fn evict_excess(&self, ss: &StoreState, protect: &str) -> Result<(), PlatformError> {
+    /// remain, never evicting a pinned one (an execution being served).
+    /// With too many pinned the resident set stays over the bound until
+    /// their calls finish.
+    fn evict_excess(&self, ss: &StoreState) -> Result<(), PlatformError> {
         loop {
             let victim = {
-                let lru = ss.lru.lock().expect("lock poisoned");
-                if lru.len() <= ss.max_resident {
+                let res = ss.residency.lock().expect("lock poisoned");
+                if res.lru.len() <= ss.max_resident {
                     return Ok(());
                 }
-                lru.iter().find(|id| id.as_str() != protect).cloned()
+                res.lru
+                    .iter()
+                    .find(|id| !res.pins.contains_key(id.as_str()))
+                    .cloned()
             };
             let Some(victim) = victim else {
                 return Ok(());
@@ -799,14 +859,25 @@ impl Platform {
     }
 
     /// Persist an execution and drop its in-memory state. Returns whether
-    /// it was resident. The next query cold-loads it transparently.
+    /// it was resident and unpinned. The next query cold-loads it
+    /// transparently.
     fn evict_impl(&self, exec_id: &str) -> Result<bool, PlatformError> {
         let Some(ss) = self.store_state() else {
             return Ok(false);
         };
+        if self.repository.with(exec_id, |_| ()).is_some() {
+            self.persist_through(exec_id)?;
+        }
+        // A call may pin the execution while it is written out. The pin
+        // check and the removal share the residency lock: a call pinned
+        // first keeps its state, and one pinned after finds the execution
+        // gone and cold-loads it.
+        let mut res = ss.residency.lock().expect("lock poisoned");
+        if res.pins.contains_key(exec_id) {
+            return Ok(false);
+        }
         let was_resident = self.repository.with(exec_id, |_| ()).is_some();
         if was_resident {
-            self.persist_through(exec_id)?;
             self.repository.remove(exec_id);
             self.traces.remove(exec_id);
             self.materialized.write().expect("lock poisoned").remove(exec_id);
@@ -814,16 +885,15 @@ impl Platform {
             self.index_states.write().expect("lock poisoned").remove(exec_id);
             EVICTIONS.inc();
         }
-        let mut lru = ss.lru.lock().expect("lock poisoned");
-        if let Some(pos) = lru.iter().position(|id| id == exec_id) {
-            lru.remove(pos);
+        if let Some(pos) = res.lru.iter().position(|id| id == exec_id) {
+            res.lru.remove(pos);
             RESIDENT.dec();
         }
         Ok(was_resident)
     }
 
     fn provenance_graph_impl(&self, exec_id: &str) -> Result<ProvenanceGraph, PlatformError> {
-        self.ensure_resident(exec_id)?;
+        let _pin = self.ensure_resident(exec_id)?;
         let doc = self
             .repository
             .get(exec_id)
@@ -884,7 +954,7 @@ impl Platform {
     }
 
     fn live_graph_impl(&self, exec_id: &str) -> Result<ProvenanceGraph, PlatformError> {
-        self.ensure_resident(exec_id)?;
+        let _pin = self.ensure_resident(exec_id)?;
         let maintainer = self
             .live_provenance_impl(exec_id)
             .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
@@ -914,7 +984,7 @@ impl Platform {
     /// store (calls reach it only after orchestration), which is why
     /// freshness is `snapshot.calls >= trace len`, not equality.
     fn snapshot_impl(&self, exec_id: &str) -> Result<Arc<EpochSnapshot>, PlatformError> {
-        self.ensure_resident(exec_id)?;
+        let _pin = self.ensure_resident(exec_id)?;
         if self.repository.with(exec_id, |_| ()).is_none() {
             return Err(PlatformError::UnknownExecution(exec_id.to_string()));
         }
@@ -1005,9 +1075,17 @@ impl ExecutionHandle<'_> {
 
     /// Persist this execution and drop its in-memory state; the next query
     /// cold-loads it transparently. Returns whether it was resident.
-    /// No-op (returning `false`) when no store is attached.
+    /// No-op (returning `false`) when no store is attached, or while the
+    /// execution is pinned.
     pub fn evict(&self) -> Result<bool, PlatformError> {
         self.platform.evict_impl(&self.id)
+    }
+
+    /// Keep this execution resident until the guard drops — for a sequence
+    /// of calls that must see one in-memory state, such as ingest, enable
+    /// live mode, execute and snapshot.
+    pub fn pin(&self) -> ResidencyPin {
+        self.platform.pin(&self.id)
     }
 
     /// Ingest an initial document for this execution.
@@ -1694,6 +1772,89 @@ mod tests {
         let snap = exec.snapshot().unwrap();
         assert_eq!(snap.epoch, before_epoch);
         assert_eq!(snap.graph.links, before_links);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// LanguageExtractor behind a gate: announces that it was called, then
+    /// blocks until released — a pipeline held open at a known point.
+    struct Gate {
+        entered: Mutex<std::sync::mpsc::Sender<()>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl Service for Gate {
+        fn name(&self) -> &str {
+            "Gate"
+        }
+        fn call(
+            &self,
+            doc: &mut Document,
+            ctx: &mut weblab_workflow::CallContext,
+        ) -> Result<(), WorkflowError> {
+            self.entered.lock().unwrap().send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+            LanguageExtractor.call(doc, ctx)
+        }
+    }
+
+    #[test]
+    fn an_execution_with_a_call_in_flight_is_never_evicted() {
+        let p = Arc::new(platform());
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        p.register_service(
+            Arc::new(Gate {
+                entered: Mutex::new(entered_tx),
+                release: Mutex::new(release_rx),
+            }),
+            &["//TextMediaUnit[$x := @id]/TextContent => //TextMediaUnit[$x := @id]/Annotation[Language]"],
+        )
+        .unwrap();
+        let dir = tmpstore("pinned");
+        let max_resident = 2;
+        let store = ProvStore::open(&dir).unwrap();
+        p.attach_store(store, max_resident).unwrap();
+        let others: Vec<String> = (0..max_resident).map(|i| format!("other-{i}")).collect();
+        for id in &others {
+            let exec = p.execution(id.as_str());
+            exec.ingest(generate_corpus(2, 1, 15));
+            exec.execute(&["Normaliser"]).unwrap();
+            assert!(exec.evict().unwrap());
+        }
+        let exec = p.execution("w");
+        exec.ingest(generate_corpus(3, 1, 20));
+        exec.enable_live();
+
+        let writer = {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || {
+                let steps = ["Normaliser", "Gate", "Translator"];
+                p.execute("w", &steps).unwrap();
+            })
+        };
+        entered_rx.recv().unwrap();
+        // mid-pipeline: Normaliser is folded in, the gate holds the rest
+        let mid = exec.snapshot().unwrap().epoch;
+        assert!(mid >= 2, "live mode published the first call: epoch {mid}");
+        // cold-load max_resident others: "w" is now least recently used
+        for id in &others {
+            let snap = p.execution(id.as_str()).snapshot().unwrap();
+            assert!(!snap.graph.links.is_empty());
+        }
+        assert!(exec.is_resident(), "the executing pipeline was evicted");
+        assert!(!exec.evict().unwrap(), "a pinned execution is not evicted");
+        release_tx.send(()).unwrap();
+        writer.join().unwrap();
+
+        let snap = exec.snapshot().unwrap();
+        assert!(snap.epoch > mid, "epoch went from {mid} to {}", snap.epoch);
+        assert_eq!(snap.calls, 3);
+        assert!(exec.live_enabled(), "live mode was lost");
+        let root = &snap.graph.links[0].from_uri;
+        match exec.query(&ProvQuery::Why { uri: root.clone() }).unwrap() {
+            QueryAnswer::Why(w) => assert!(w.resources.contains(root)),
+            other => panic!("unexpected answer {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

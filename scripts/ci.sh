@@ -13,6 +13,19 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> unsafe-code gate (one poll(2) binding; every library crate forbids unsafe)"
+allows="$(grep -rn --include='*.rs' 'allow(unsafe_code)' src crates || true)"
+if [ "$(printf '%s' "$allows" | grep -c .)" -ne 1 ]; then
+    echo "ci: allow(unsafe_code) must appear exactly once under src/ and crates/:" >&2
+    printf '%s\n' "$allows" >&2
+    exit 1
+fi
+for lib in crates/*/src/lib.rs; do
+    grep -q '^#!\[forbid(unsafe_code)\]' "$lib" \
+        || { echo "ci: $lib must keep #![forbid(unsafe_code)]" >&2; exit 1; }
+done
+echo "ci: unsafe-code gate ok ($allows)"
+
 echo "==> weblab --metrics smoke run (paper example pipeline)"
 metrics_dir="$(mktemp -d)"
 trap 'rm -rf "$metrics_dir"; [ -n "${serve_pid:-}" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
@@ -634,5 +647,8 @@ print(f"ci: X17 snapshot ok ({snap['nodes']} nodes, top-{snap['limit']} "
       f"under budget {snap['budget']} is {snap['speedup']}x cheaper than "
       f"materialising {snap['full']['impacted']} impacted resources)")
 PY
+
+echo "==> benchmark smoke (every perfbench workload scaled down, against its oracle)"
+python3 perfbench/run.py --smoke
 
 echo "ci: all gates passed"

@@ -65,6 +65,8 @@ pub enum WebLabError {
     },
     /// A serve request was malformed (bad JSON, missing field, unknown op).
     Protocol(String),
+    /// A serve request's dispatch panicked; carries the panic message.
+    Internal(String),
     /// The command line was malformed.
     Usage(String),
 }
@@ -103,6 +105,7 @@ impl WebLabError {
             WebLabError::LineLimit { .. } => "line-limit",
             WebLabError::IdleTimeout { .. } => "idle-timeout",
             WebLabError::Protocol(_) => "protocol",
+            WebLabError::Internal(_) => "internal",
             WebLabError::Usage(_) => "usage",
         }
     }
@@ -139,6 +142,9 @@ impl fmt::Display for WebLabError {
                 "connection idle past the {millis} ms read timeout"
             ),
             WebLabError::Protocol(m) => write!(f, "{m}"),
+            WebLabError::Internal(m) => {
+                write!(f, "internal error: request handler panicked: {m}")
+            }
             WebLabError::Usage(m) => write!(f, "{m}"),
         }
     }
@@ -158,6 +164,7 @@ impl std::error::Error for WebLabError {
             | WebLabError::LineLimit { .. }
             | WebLabError::IdleTimeout { .. }
             | WebLabError::Protocol(_)
+            | WebLabError::Internal(_)
             | WebLabError::Usage(_) => None,
         }
     }
@@ -239,6 +246,7 @@ mod tests {
             WebLabError::IdleTimeout { millis: 200 }.code(),
             "idle-timeout"
         );
+        assert_eq!(WebLabError::Internal("boom".into()).code(), "internal");
         assert_eq!(WebLabError::from("usage").code(), "usage");
         let locked = PersistError::StoreLocked {
             path: "/tmp/store".into(),

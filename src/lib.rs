@@ -30,11 +30,13 @@
 //! See the `examples/` directory for end-to-end walkthroughs, starting with
 //! `quickstart.rs`.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;
 pub mod json;
+#[allow(unsafe_code)]
+mod poll;
 pub mod serve;
 
 pub use weblab_obs as obs;

@@ -3,13 +3,18 @@
 //! A [`Server`] owns a `TcpListener` and serves a **line-delimited JSON**
 //! protocol: one request object per line in, one response object per line
 //! out, many requests per connection, requests freely pipelined. The
-//! transport is a single-threaded, std-only **event loop** over
-//! non-blocking sockets (no async runtime, no `libc`): every tick it
-//! accepts ready connections, drains readable sockets into per-connection
-//! read buffers, frames complete lines, and hands admitted requests to a
-//! fixed pool of dispatch workers; completions stream back over a channel
-//! that doubles as the loop's wake-up (a completion-channel-woken
-//! incremental reader — the std-only stand-in for `poll(2)` readiness).
+//! transport is a single-threaded **event loop** over non-blocking sockets
+//! (no async runtime) that sleeps in `poll(2)` until something is ready:
+//! the listener, a connection it may read from or has responses to flush,
+//! or a wake socket that the dispatch workers write one byte to after each
+//! completion. On waking it accepts ready connections, drains the sockets
+//! `poll` reported into per-connection read buffers, frames complete
+//! lines, and hands admitted requests to a fixed pool of dispatch workers.
+//! When nothing is ready it sleeps until the next close-grace or
+//! idle-timeout deadline, or indefinitely when there is none. std has no
+//! readiness API, so `poll(2)` is bound in the crate's one `unsafe`
+//! module (`crate::poll`). A panicking dispatch is caught in its worker
+//! and answered with the stable code `internal`; the worker lives on.
 //! The entire dispatch is written against [`ExecutionHandle`] — the serve
 //! layer never touches `Platform` internals.
 //!
@@ -67,10 +72,11 @@
 //!   dispatch (`serve.shed`). Every received request gets exactly one
 //!   response — shed, failed, or answered;
 //! * **line length** ([`Server::max_line`]) — an over-long line is
-//!   answered `line-limit`; a partial line that overflows the buffer
-//!   without a newline gets the same error and the connection is closed
-//!   (framing is lost), so a client streaming garbage can no longer pin
-//!   a worker or grow memory without bound;
+//!   answered `line-limit` as soon as it overflows the buffer, and its
+//!   bytes are dropped up to its newline; if no newline follows within
+//!   a short grace the connection is closed (framing is lost), so a
+//!   client streaming garbage can no longer pin a worker or grow memory
+//!   without bound;
 //! * **idle read timeout** ([`Server::idle_timeout`]) — a connection with
 //!   no traffic and no pending work is answered `idle-timeout` and
 //!   closed;
@@ -82,14 +88,17 @@
 //! (immutable graph + index behind an `Arc` swap), so they run lock-free
 //! and concurrently with live ingestion. The serve counters
 //! (`serve.requests`, `serve.errors`, `serve.batch.{requests,subs}`,
-//! `serve.shed`, `serve.conn.{accepted,rejected}`, the
-//! `serve.queue.depth` gauge and the `serve.request_ns` histogram) land
-//! in the same observability registry as the engine's, so
-//! `--metrics-out` reports cover the daemon too.
+//! `serve.shed`, `serve.panics`, `serve.conn.{accepted,rejected}`,
+//! `serve.loop.wakeups`, the `serve.queue.depth` gauge and the
+//! `serve.request_ns` histogram) land in the same observability registry
+//! as the engine's, so `--metrics-out` reports cover the daemon too.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -105,6 +114,7 @@ use weblab_xml::parse_document;
 
 use crate::error::WebLabError;
 use crate::json::Json;
+use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 
 /// Requests dispatched (including failed ones; sheds are not dispatched).
 static SERVE_REQUESTS: Counter = Counter::new("serve.requests");
@@ -118,6 +128,11 @@ static SERVE_BATCH_REQUESTS: Counter = Counter::new("serve.batch.requests");
 static SERVE_BATCH_SUBS: Counter = Counter::new("serve.batch.subs");
 /// Requests shed by queue-depth admission control.
 static SERVE_SHED: Counter = Counter::new("serve.shed");
+/// Dispatches that panicked (answered `internal`; the worker survives).
+static SERVE_PANICS: Counter = Counter::new("serve.panics");
+/// Returns from the event loop's `poll(2)` wait. Timing-dependent, unlike
+/// the protocol counters.
+static SERVE_LOOP_WAKEUPS: Counter = Counter::new("serve.loop.wakeups");
 /// Connections accepted into the event loop.
 static SERVE_CONN_ACCEPTED: Counter = Counter::new("serve.conn.accepted");
 /// Connections rejected at the connection cap.
@@ -140,12 +155,20 @@ pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// Stop reading from a connection whose unflushed responses exceed this.
 const WRITE_HIGH_WATER: usize = 256 * 1024;
-/// Most bytes drained from one socket per event-loop tick (fairness).
+/// Most bytes drained from one socket per wake-up (fairness): the rest
+/// stays readable, so the next `poll` returns at once for it.
 const READ_QUANTUM: usize = 256 * 1024;
-/// Event-loop wake-up granularity when no completion arrives.
-const TICK: Duration = Duration::from_micros(500);
 /// How long a closing/draining connection may linger unflushed.
 const CLOSE_GRACE: Duration = Duration::from_secs(5);
+/// How long an over-long line may take to deliver its newline after it
+/// overflowed `max_line`. The loop reads a socket as soon as bytes
+/// arrive, so it often sees such a line before its end; past this the
+/// connection is closed, since framing is lost.
+const LINE_GRACE: Duration = Duration::from_millis(100);
+/// How long to stop accepting after `accept` fails for another reason than
+/// an empty backlog, such as running out of file descriptors. The pending
+/// connection keeps the listener readable, so retrying at once would spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Per-request limits the dispatcher enforces.
 #[derive(Clone, Copy, Debug)]
@@ -254,6 +277,12 @@ impl Server {
     /// owns all socket I/O. Blocks the calling thread.
     pub fn run(self, workers: usize) -> std::io::Result<()> {
         self.listener.set_nonblocking(true)?;
+        // Workers write one byte to the wake socket after each completion,
+        // so the loop's poll returns as soon as an answer is ready. Both
+        // ends are non-blocking: a full socket already holds a wake-up.
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
         let (done_tx, done_rx) = mpsc::channel::<Done>();
@@ -261,12 +290,13 @@ impl Server {
         for _ in 0..workers.max(1) {
             let job_rx = Arc::clone(&job_rx);
             let done_tx = done_tx.clone();
+            let wake_tx = wake_tx.try_clone()?;
             let platform = Arc::clone(&self.platform);
             let limits = self.limits;
             pool.push(thread::spawn(move || loop {
                 let next = job_rx.lock().expect("worker queue lock poisoned").recv();
                 let Ok(job) = next else { break };
-                let (response, stop) = handle_line_limits(&platform, &job.line, &limits);
+                let (response, stop) = dispatch_job(&platform, &job.line, &limits);
                 let done = Done {
                     conn: job.conn,
                     response,
@@ -275,9 +305,13 @@ impl Server {
                 if done_tx.send(done).is_err() {
                     break;
                 }
+                let _ = (&wake_tx).write(&[1]);
             }));
         }
+        // Once every worker is gone the wake socket reads end-of-file and
+        // the completion channel disconnects, which ends the loop.
         drop(done_tx);
+        drop(wake_tx);
 
         let mut lp = EventLoop {
             listener: &self.listener,
@@ -290,28 +324,43 @@ impl Server {
             idle_timeout: self.idle_timeout,
             job_tx,
             shutdown: false,
+            accept_paused_until: None,
         };
-        loop {
-            let mut active = false;
-            if !lp.shutdown {
-                active |= lp.accept_ready();
-                active |= lp.read_ready();
-            }
-            active |= lp.drain_completions(&done_rx);
+        let mut fds = Vec::new();
+        let mut ids = Vec::new();
+        let mut outcome = Ok(());
+        'serve: loop {
             lp.pump_and_flush();
-            lp.sweep_idle();
+            lp.sweep_deadlines();
             lp.reap_closed();
             if lp.shutdown && lp.load == 0 && lp.all_flushed() {
                 break;
             }
-            if !active {
-                // The completion channel is the loop's wake-up: a worker
-                // finishing wakes it immediately; otherwise it re-scans
-                // the sockets every TICK.
-                match done_rx.recv_timeout(TICK) {
+            let timeout = lp.poll_timeout();
+            lp.poll_set(&wake_rx, &mut fds, &mut ids);
+            if let Err(e) = poll(&mut fds, timeout) {
+                outcome = Err(e);
+                break;
+            }
+            SERVE_LOOP_WAKEUPS.inc();
+            // Drain the wake bytes before the completions: a byte written
+            // after this drain stays behind and wakes the next poll.
+            if fds[1].revents != 0 {
+                drain_wake(&wake_rx);
+            }
+            loop {
+                match done_rx.try_recv() {
                     Ok(done) => lp.complete(done),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                    Err(mpsc::TryRecvError::Empty) => break,
+                    Err(mpsc::TryRecvError::Disconnected) => break 'serve,
+                }
+            }
+            if fds[0].revents != 0 {
+                lp.accept_ready();
+            }
+            for (fd, &id) in fds[2..].iter().zip(&ids) {
+                if fd.revents != 0 {
+                    lp.read_conn(id);
                 }
             }
         }
@@ -319,7 +368,38 @@ impl Server {
         for worker in pool {
             let _ = worker.join();
         }
-        Ok(())
+        outcome
+    }
+}
+
+/// Answer one job on a worker. A panic in the dispatch is caught here and
+/// answered with the stable code `internal`, so the worker survives and
+/// the connection still gets exactly one response, in order.
+fn dispatch_job(platform: &Platform, line: &str, limits: &RequestLimits) -> (String, bool) {
+    let run = || handle_line_limits(platform, line, limits);
+    panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        SERVE_PANICS.inc();
+        SERVE_ERRORS.inc();
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        let id = Json::parse(line).ok().and_then(|r| r.get("id").cloned());
+        let e = WebLabError::Internal(message);
+        (error_response(&e, id.as_ref(), None), false)
+    })
+}
+
+/// Read every pending wake byte off the wake socket.
+fn drain_wake(mut wake_rx: &UnixStream) {
+    let mut buf = [0u8; 256];
+    loop {
+        match wake_rx.read(&mut buf) {
+            Ok(n) if n == buf.len() => continue,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            _ => return, // drained, end-of-file, or WouldBlock
+        }
     }
 }
 
@@ -359,6 +439,9 @@ struct Conn {
     eof: bool,
     /// Close once the write buffer drains (or the grace period lapses).
     close_by: Option<Instant>,
+    /// Inside an over-long line already answered `line-limit`: bytes are
+    /// dropped up to its newline, which must arrive by this deadline.
+    skip_by: Option<Instant>,
 }
 
 impl Conn {
@@ -373,6 +456,7 @@ impl Conn {
             last_activity: Instant::now(),
             eof: false,
             close_by: None,
+            skip_by: None,
         }
     }
 
@@ -399,16 +483,77 @@ struct EventLoop<'l> {
     idle_timeout: Option<Duration>,
     job_tx: mpsc::Sender<Job>,
     shutdown: bool,
+    /// After a failed `accept`, leave the listener out of the poll set
+    /// until then.
+    accept_paused_until: Option<Instant>,
 }
 
 impl EventLoop<'_> {
-    /// Accept every ready connection; returns whether any arrived.
-    fn accept_ready(&mut self) -> bool {
-        let mut any = false;
+    /// Fill `fds` with the poll set: the listener (unless shutting down or
+    /// backing off), the wake socket, then every connection, whose ids go
+    /// to `ids` in the same order. A connection asks for `POLLIN` while it
+    /// may read and for `POLLOUT` while it has unflushed responses. One
+    /// that wants neither is left out (fd -1): a hung-up socket would
+    /// otherwise report `POLLHUP` on every call and spin the loop.
+    fn poll_set(&self, wake_rx: &UnixStream, fds: &mut Vec<PollFd>, ids: &mut Vec<u64>) {
+        fds.clear();
+        ids.clear();
+        let paused = self.accept_paused_until.is_some_and(|t| Instant::now() < t);
+        let listener = match self.shutdown || paused {
+            true => -1,
+            false => self.listener.as_raw_fd(),
+        };
+        fds.push(PollFd::new(listener, POLLIN));
+        fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
+        for (&id, conn) in &self.conns {
+            let mut events = 0;
+            if !self.shutdown && conn.may_read() {
+                events |= POLLIN;
+            }
+            if conn.unflushed() > 0 {
+                events |= POLLOUT;
+            }
+            let fd = match events {
+                0 => -1,
+                _ => conn.stream.as_raw_fd(),
+            };
+            fds.push(PollFd::new(fd, events));
+            ids.push(id);
+        }
+    }
+
+    /// Milliseconds until the earliest close-grace, line-grace,
+    /// idle-timeout or accept-backoff deadline, rounded up so the loop
+    /// never wakes just short of it; -1 (wait indefinitely) when there is
+    /// none.
+    fn poll_timeout(&self) -> i32 {
+        let now = Instant::now();
+        let backoff = self.accept_paused_until.filter(|&t| t > now);
+        let deadline = self
+            .conns
+            .values()
+            .filter_map(|conn| {
+                if conn.close_by.is_some() {
+                    return conn.close_by;
+                }
+                let idle = self.idle_timeout.filter(|_| conn.idle_candidate());
+                let idle_by = idle.map(|t| conn.last_activity + t);
+                conn.skip_by.into_iter().chain(idle_by).min()
+            })
+            .chain(backoff)
+            .min();
+        let Some(deadline) = deadline else {
+            return -1;
+        };
+        let wait = deadline.saturating_duration_since(now);
+        wait.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
+    }
+
+    /// Accept every ready connection.
+    fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    any = true;
                     if self.conns.len() >= self.max_conns {
                         SERVE_CONN_REJECTED.inc();
                         reject_connection(stream, self.conns.len(), self.max_conns);
@@ -422,26 +567,26 @@ impl EventLoop<'_> {
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // WouldBlock or transient: retry next tick
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(_) => {
+                    self.accept_paused_until = Some(Instant::now() + ACCEPT_BACKOFF);
+                    break;
+                }
             }
         }
-        any
     }
 
-    /// Drain every readable socket into its buffer and frame complete
-    /// lines; returns whether any bytes arrived.
-    fn read_ready(&mut self) -> bool {
-        let mut any = false;
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
-        for id in ids {
-            let conn = self.conns.get_mut(&id).expect("conn ids are stable");
-            if conn.eof || conn.close_by.is_some() || conn.unflushed() > WRITE_HIGH_WATER {
-                continue; // closing or backpressured: stop reading
-            }
-            any |= read_some(conn);
-            self.frame_lines(id);
+    /// Drain a socket `poll` reported into its buffer and frame complete
+    /// lines.
+    fn read_conn(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        if self.shutdown || !conn.may_read() {
+            return; // only writable, or a hang-up the next flush will see
         }
-        any
+        read_some(conn);
+        self.frame_lines(id);
     }
 
     /// Split `read_buf` into complete lines and admit/shed/reject each.
@@ -449,18 +594,23 @@ impl EventLoop<'_> {
         loop {
             let conn = self.conns.get_mut(&id).expect("conn ids are stable");
             let Some(nl) = conn.read_buf.iter().position(|&b| b == b'\n') else {
-                // no newline yet: a partial line may not overflow the cap
-                if conn.read_buf.len() > self.max_line {
+                if conn.skip_by.is_some() {
+                    conn.read_buf.clear(); // still inside the over-long line
+                } else if conn.read_buf.len() > self.max_line {
+                    // no newline yet, but a partial line may not overflow
+                    // the cap: answer now and drop the rest of the line
                     let e = WebLabError::LineLimit { max: self.max_line };
                     let resp = error_response(&e, None, None);
                     conn.pending.push_back(Pending::Resolved(resp));
                     conn.read_buf.clear();
-                    // framing is lost mid-line: the connection must close
-                    conn.close_by = Some(Instant::now() + CLOSE_GRACE);
+                    conn.skip_by = Some(Instant::now() + LINE_GRACE);
                 }
                 return;
             };
             let mut line: Vec<u8> = conn.read_buf.drain(..=nl).collect();
+            if conn.skip_by.take().is_some() {
+                continue; // the end of a line already answered: framing holds
+            }
             line.pop(); // the newline
             if line.last() == Some(&b'\r') {
                 line.pop();
@@ -497,16 +647,6 @@ impl EventLoop<'_> {
             SERVE_QUEUE_DEPTH.inc();
             conn.pending.push_back(Pending::Line(text));
         }
-    }
-
-    /// Pull finished dispatches off the completion channel.
-    fn drain_completions(&mut self, done_rx: &mpsc::Receiver<Done>) -> bool {
-        let mut any = false;
-        while let Ok(done) = done_rx.try_recv() {
-            any = true;
-            self.complete(done);
-        }
-        any
     }
 
     fn complete(&mut self, done: Done) {
@@ -553,18 +693,23 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Time out connections with no traffic and no pending work.
-    fn sweep_idle(&mut self) {
-        let Some(timeout) = self.idle_timeout else {
-            return;
-        };
+    /// Close connections whose over-long line never ended, and time out
+    /// connections with no traffic and no pending work.
+    fn sweep_deadlines(&mut self) {
         let now = Instant::now();
         for conn in self.conns.values_mut() {
-            if conn.close_by.is_none()
-                && !conn.in_flight
-                && conn.pending.is_empty()
-                && now.duration_since(conn.last_activity) >= timeout
-            {
+            if conn.close_by.is_some() {
+                continue;
+            }
+            if conn.skip_by.is_some_and(|by| now >= by) {
+                // framing is lost mid-line: the connection must close
+                conn.close_by = Some(now + CLOSE_GRACE);
+                continue;
+            }
+            let Some(timeout) = self.idle_timeout else {
+                continue;
+            };
+            if conn.idle_candidate() && now.duration_since(conn.last_activity) >= timeout {
                 let millis = timeout.as_millis().min(u128::from(u64::MAX)) as u64;
                 let e = WebLabError::IdleTimeout { millis };
                 conn.push_response(&error_response(&e, None, None));
@@ -613,6 +758,17 @@ impl Conn {
     fn write_errored(&self) -> bool {
         self.unflushed() == 0
     }
+
+    /// Whether the loop reads from this connection: not hung up, not
+    /// closing, and not backpressured by unflushed responses.
+    fn may_read(&self) -> bool {
+        !self.eof && self.close_by.is_none() && self.unflushed() <= WRITE_HIGH_WATER
+    }
+
+    /// Whether the idle timeout applies: no request queued or in flight.
+    fn idle_candidate(&self) -> bool {
+        !self.in_flight && self.pending.is_empty()
+    }
 }
 
 /// Best-effort `overloaded` notice for a connection over the cap. The
@@ -627,8 +783,8 @@ fn reject_connection(mut stream: TcpStream, depth: usize, cap: usize) {
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-/// Drain up to [`READ_QUANTUM`] ready bytes; returns whether any arrived.
-fn read_some(conn: &mut Conn) -> bool {
+/// Drain up to [`READ_QUANTUM`] ready bytes.
+fn read_some(conn: &mut Conn) {
     let mut chunk = [0u8; 16 * 1024];
     let mut total = 0usize;
     loop {
@@ -653,7 +809,6 @@ fn read_some(conn: &mut Conn) -> bool {
             }
         }
     }
-    total > 0
 }
 
 /// Write as much buffered response data as the socket accepts.
@@ -760,6 +915,9 @@ fn dispatch(
         "ingest" => {
             let exec = platform.execution(str_field(request, "exec")?);
             let doc = parse_document(str_field(request, "xml")?)?;
+            // resident from the ingest to the answer's snapshot: a
+            // concurrent cold load must not evict it mid-pipeline
+            let _pin = exec.pin();
             exec.ingest(doc);
             if request.get("live").and_then(Json::as_bool).unwrap_or(false) {
                 exec.enable_live();
